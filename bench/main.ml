@@ -1688,9 +1688,11 @@ let compiled_vs_interpreted () =
       let r_interp, t_interp = B.time_median ~runs interp in
       let pplan = Planner.plan q in
       let exec, t_compile =
-        B.time_median ~runs:3 (fun () -> Compile.compile pplan db)
+        B.time_median ~runs:3 (fun () -> Compile.compile Compile.Rows pplan db)
       in
-      let r_comp, t_warm = B.time_median ~runs (fun () -> Compile.run exec) in
+      let r_comp, t_warm =
+        B.time_median ~runs (fun () -> Compile.run Compile.Rows exec)
+      in
       let agree = Relation.set_equal r_comp r_interp in
       all_agree := !all_agree && agree;
       let speedup = t_interp /. t_warm in
@@ -1740,7 +1742,7 @@ let compiled_vs_interpreted () =
 let count_overhead () =
   header
     "E-COUNT — compiled COUNT vs compiled EVAL on the same warm plans \
-     (the Bool path is untouched; COUNT swaps dedup barriers for memoized \
+     (one lowering; the count sink swaps dedup barriers for memoized \
      Nat aggregation)";
   let module Planner = Paradb_planner.Planner in
   let module Compile = Paradb_eval.Compile in
@@ -1759,11 +1761,13 @@ let count_overhead () =
   List.iter
     (fun (label, q) ->
       let pplan = Planner.plan q in
-      let exec = Compile.compile pplan db in
-      let cexec = Compile.compile_count pplan db in
-      let r_eval, t_eval = B.time_median ~runs (fun () -> Compile.run exec) in
+      let exec = Compile.compile Compile.Rows pplan db in
+      let cexec = Compile.compile Compile.Count pplan db in
+      let r_eval, t_eval =
+        B.time_median ~runs (fun () -> Compile.run Compile.Rows exec)
+      in
       let n_count, t_count =
-        B.time_median ~runs (fun () -> Compile.run_count cexec)
+        B.time_median ~runs (fun () -> Compile.run Compile.Count cexec)
       in
       let agree = n_count = Cq_naive.count db q in
       all_agree := !all_agree && agree;

@@ -154,37 +154,39 @@ let run_eval db_path query_text engine family seed count stats trace =
       Printf.eprintf "error: %s\n" e;
       1
   | Ok db, Ok q -> (
+      (* The compiled engine lowers one plan for either verb's sink. *)
+      let compiled sink =
+        let pplan = Paradb_planner.Planner.plan q in
+        if stats then
+          Printf.printf "%% plan class: %s, width %d\n"
+            (Paradb_planner.Planner.classification_name
+               pplan.Paradb_planner.Planner.classification)
+            pplan.Paradb_planner.Planner.width;
+        Paradb_eval.Compile.(run sink (compile sink pplan db))
+      in
+      let naive_stats run =
+        let s = Paradb_eval.Cq_naive.new_stats () in
+        let r = run s in
+        if stats then
+          Printf.printf "%% naive probes: %d\n" s.Paradb_eval.Cq_naive.probes;
+        r
+      in
       try
         if count then begin
           let n, engine_name =
             match choose_engine engine q with
             | `Naive ->
-                let s = Paradb_eval.Cq_naive.new_stats () in
-                let n = Paradb_eval.Cq_naive.count ~stats:s db q in
-                if stats then
-                  Printf.printf "%% naive probes: %d\n"
-                    s.Paradb_eval.Cq_naive.probes;
-                (n, "naive")
+                ( naive_stats (fun s -> Paradb_eval.Cq_naive.count ~stats:s db q),
+                  "naive" )
             | `Yannakakis ->
                 (Paradb_yannakakis.Yannakakis.count db q, "yannakakis")
-            | `Compiled ->
-                let pplan = Paradb_planner.Planner.plan q in
-                if stats then
-                  Printf.printf "%% plan class: %s, width %d\n"
-                    (Paradb_planner.Planner.classification_name
-                       pplan.Paradb_planner.Planner.classification)
-                    pplan.Paradb_planner.Planner.width;
-                ( Paradb_eval.Compile.run_count
-                    (Paradb_eval.Compile.compile_count pplan db),
-                  "compiled" )
-            | `Fpt ->
+            | `Compiled -> (compiled Paradb_eval.Compile.Count, "compiled")
+            | (`Fpt | `Comparisons) as e ->
                 invalid_arg
-                  "COUNT: engine fpt cannot count (use auto, naive, \
-                   yannakakis, or compiled)"
-            | `Comparisons ->
-                invalid_arg
-                  "COUNT: engine comparisons cannot count (use auto, naive, \
-                   yannakakis, or compiled)"
+                  (Printf.sprintf
+                     "COUNT: engine %s cannot count (use auto, naive, \
+                      yannakakis, or compiled)"
+                     (match e with `Fpt -> "fpt" | `Comparisons -> "comparisons"))
           in
           Printf.printf "%% engine: %s\n" engine_name;
           Printf.printf "%d\n" n;
@@ -194,11 +196,8 @@ let run_eval db_path query_text engine family seed count stats trace =
         let result, engine_name =
           match choose_engine engine q with
           | `Naive ->
-              let s = Paradb_eval.Cq_naive.new_stats () in
-              let r = Paradb_eval.Cq_naive.evaluate ~stats:s db q in
-              if stats then
-                Printf.printf "%% naive probes: %d\n" s.Paradb_eval.Cq_naive.probes;
-              (r, "naive")
+              ( naive_stats (fun s -> Paradb_eval.Cq_naive.evaluate ~stats:s db q),
+                "naive" )
           | `Yannakakis -> (Paradb_yannakakis.Yannakakis.evaluate db q, "yannakakis")
           | `Comparisons -> (Paradb_core.Comparisons.evaluate db q, "comparisons")
           | `Fpt ->
@@ -210,15 +209,7 @@ let run_eval db_path query_text engine family seed count stats trace =
                 Printf.printf "%% fpt colorings: %d tried, %d nonempty\n"
                   s.Engine.trials s.Engine.successes;
               (r, "fpt")
-          | `Compiled ->
-              let pplan = Paradb_planner.Planner.plan q in
-              if stats then
-                Printf.printf "%% plan class: %s, width %d\n"
-                  (Paradb_planner.Planner.classification_name
-                     pplan.Paradb_planner.Planner.classification)
-                  pplan.Paradb_planner.Planner.width;
-              (Paradb_eval.Compile.run (Paradb_eval.Compile.compile pplan db),
-               "compiled")
+          | `Compiled -> (compiled Paradb_eval.Compile.Rows, "compiled")
         in
         Printf.printf "%% engine: %s\n" engine_name;
         Format.printf "%a@." Relation.pp result;

@@ -1,4 +1,3 @@
-module Value = Paradb_relational.Value
 module Tuple = Paradb_relational.Tuple
 module Relation = Paradb_relational.Relation
 module Database = Paradb_relational.Database
@@ -7,13 +6,13 @@ module Cq = Paradb_query.Cq
 module Atom = Paradb_query.Atom
 module Term = Paradb_query.Term
 module Constr = Paradb_query.Constr
-module Fact_format = Paradb_query.Fact_format
 module Planner = Paradb_planner.Planner
 module Protocol = Paradb_server.Protocol
 module Client = Paradb_server.Client
 module Server = Paradb_server.Server
 module Guard = Paradb_server.Guard
 module Plan = Paradb_server.Plan
+module Answer = Paradb_server.Answer
 module Fault = Paradb_server.Fault
 module Metrics = Paradb_telemetry.Metrics
 module Export = Paradb_telemetry.Export
@@ -256,16 +255,11 @@ let round f =
    tuple — the exact format [Source.parse_facts] reads back on the
    shard.  Empty relations vanish here; the coordinator's [db_info]
    keeps the full schema so queries over empty slices still resolve. *)
-let fact_line name tuple =
-  Printf.sprintf "%s(%s)." name
-    (String.concat ", "
-       (List.map Fact_format.value_to_syntax (Tuple.to_list tuple)))
-
 let slice_lines db =
   List.concat_map
     (fun r ->
       let name = Relation.name r in
-      List.map (fact_line name) (Relation.tuples r))
+      List.map (Answer.fact_line name) (Relation.tuples r))
     (Database.relations db)
 
 (* A replica write (rank >= 1) that could not be delivered.  The write
@@ -564,25 +558,6 @@ let scatter_count t conns budget ~db ~query =
 
 (* --- reducer exchange ------------------------------------------- *)
 
-let term_to_source = function
-  | Term.Var v -> v
-  | Term.Const c -> Fact_format.value_to_syntax c
-
-let atom_to_source a =
-  Printf.sprintf "%s(%s)" a.Atom.rel
-    (String.concat ", " (List.map term_to_source a.Atom.args))
-
-let op_to_source = function
-  | Constr.Neq -> "!="
-  | Constr.Lt -> "<"
-  | Constr.Le -> "<="
-
-let constr_to_source c =
-  Printf.sprintf "%s %s %s"
-    (term_to_source c.Constr.lhs)
-    (op_to_source c.Constr.op)
-    (term_to_source c.Constr.rhs)
-
 let first_var a =
   match a.Atom.args with Term.Var v :: _ -> Some v | _ -> None
 
@@ -618,104 +593,50 @@ let reducer_source q i =
         List.for_all (fun v -> StringSet.mem v bound) (Constr.vars c))
       q.Cq.constraints
   in
-  Printf.sprintf "gx%d(%s) :- %s." i
-    (String.concat ", " (List.map term_to_source atom.Atom.args))
-    (String.concat ", "
-       (List.map atom_to_source body
-       @ List.map constr_to_source constraints))
+  Cq.to_string
+    (Cq.make ~name:(Printf.sprintf "gx%d" i) ~constraints ~head:atom.Atom.args
+       body)
 
-(* A query with no relational atoms is ground: by safety its head and
-   constraints are all constants, so it touches no shard at all. *)
-let ground_holds q =
-  List.for_all
-    (fun c ->
-      match (c.Constr.lhs, c.Constr.rhs) with
-      | Term.Const a, Term.Const b -> Constr.eval_op c.Constr.op a b
-      | _ -> false)
-    q.Cq.constraints
-
-let eval_ground q =
-  let holds = ground_holds q in
-  let consts =
-    List.filter_map
-      (function Term.Const v -> Some v | Term.Var _ -> None)
-      q.Cq.head
-  in
-  let schema = positional_schema (List.length q.Cq.head) in
-  Relation.create ~name:q.Cq.name ~schema
-    (if holds && List.length consts = List.length q.Cq.head then
-       [ Array.of_list consts ]
-     else [])
-
-(* General path, two rounds.  Round 1 gathers one reducer relation per
-   body atom from every shard; round 2 joins them at the coordinator
-   under the original head and constraints, with every atom renamed to
-   its reducer.  Linear-time class is preserved: the reducers are
-   selections/semijoins (linear shard-side), the exchange moves only
-   reduced relations, and the final join runs the same planner the
-   single node would. *)
-let exchange_scratch t conns budget ~db q =
-  let gname i = Printf.sprintf "gx%d" i in
-  let gathered =
-    round (fun () ->
-        List.mapi
-          (fun i atom ->
-            let arity = List.length atom.Atom.args in
-            (i, arity, reducer_source q i))
-          q.Cq.body
-        |> List.map (fun (i, arity, src) ->
-               ( i,
-                 gather_all t conns budget ~db ~head_name:(gname i) ~arity
-                   src )))
-  in
-  let scratch =
-    List.fold_left
-      (fun acc (_, r) -> Database.add r acc)
-      Database.empty gathered
-  in
-  let rewritten =
-    Cq.make ~name:q.Cq.name ~constraints:q.Cq.constraints ~head:q.Cq.head
-      (List.mapi
-         (fun i atom -> Atom.make (gname i) atom.Atom.args)
-         q.Cq.body)
-  in
-  (scratch, rewritten)
-
-let exchange_eval t conns budget ~db q =
-  if q.Cq.body = [] then eval_ground q
+(* General path, two rounds, one for every verb.  Round 1 gathers one
+   reducer relation per body atom from every shard; round 2 runs the
+   verb's local [finish] (evaluate or count) over them at the
+   coordinator, under the original head and constraints with every atom
+   renamed to its reducer.  Linear-time class is preserved: the reducers
+   are selections/semijoins (linear shard-side), the exchange moves only
+   reduced relations, and the final step runs the same planner and
+   compiled pipeline the single node would.  Semijoin reduction is also
+   count-preserving — a dropped tuple takes part in no satisfying
+   valuation — so COUNT finishes on the same reducers.  A query with no
+   relational atoms is ground: it touches no shard, and the finisher
+   decides it over the empty database. *)
+let exchange t conns budget ~db q finish =
+  if q.Cq.body = [] then finish (Plan.analyze Plan.Auto q) Database.empty q
   else begin
-    let scratch, rewritten = exchange_scratch t conns budget ~db q in
-    round (fun () ->
-        let plan = Plan.analyze Plan.Auto rewritten in
-        Plan.evaluate ?budget plan scratch rewritten)
+    let gname i = Printf.sprintf "gx%d" i in
+    let scratch =
+      round (fun () ->
+          List.mapi
+            (fun i atom ->
+              gather_all t conns budget ~db ~head_name:(gname i)
+                ~arity:(List.length atom.Atom.args)
+                (reducer_source q i))
+            q.Cq.body)
+      |> List.fold_left (fun acc r -> Database.add r acc) Database.empty
+    in
+    let rewritten =
+      Cq.make ~name:q.Cq.name ~constraints:q.Cq.constraints ~head:q.Cq.head
+        (List.mapi (fun i atom -> Atom.make (gname i) atom.Atom.args) q.Cq.body)
+    in
+    round (fun () -> finish (Plan.analyze Plan.Auto rewritten) scratch rewritten)
   end
-
-(* COUNT over the exchange: the same round-1 reducers (semijoin
-   reduction is count-preserving — a dropped tuple takes part in no
-   satisfying valuation), then the exact count computed locally on the
-   scratch database.  A ground query has exactly one, empty, valuation
-   when its constraints hold. *)
-let exchange_count t conns budget ~db q =
-  if q.Cq.body = [] then if ground_holds q then 1 else 0
-  else begin
-    let scratch, rewritten = exchange_scratch t conns budget ~db q in
-    round (fun () ->
-        let plan = Plan.analyze Plan.Auto rewritten in
-        Plan.count ?budget plan scratch rewritten)
-  end
-
-let truncate_rows t lines rows =
-  match t.config.limits.Guard.max_rows with
-  | Some m when rows > m -> (List.filteri (fun i _ -> i < m) lines, true)
-  | _ -> (lines, false)
 
 (* Shared EVAL/GATHER/COUNT core: parse, precheck the relation names
    against the coordinator's recorded schema, arm the deadline, pick
-   the distribution strategy, fan out.  [scatter]/[exchange] are the
-   verb's two strategies (relation-valued for EVAL/GATHER, int-valued
-   for COUNT); [render] turns the result into the verb's payload and
-   summary. *)
-let guarded t ~db ~engine ~query ~scatter ~exchange render =
+   the distribution strategy, fan out.  [scatter] is the verb's
+   one-round strategy (a union of GATHERs for EVAL/GATHER, a sum of
+   COUNTs for COUNT) and [finish] its local step after the exchange;
+   [render] turns the result into the verb's payload and summary. *)
+let guarded t conns ~db ~engine ~query ~scatter ~finish render =
   match Plan.engine_kind_of_string engine with
   | None -> Protocol.Err (Printf.sprintf "unknown engine %s" engine)
   | Some _kind -> (
@@ -755,7 +676,7 @@ let guarded t ~db ~engine ~query ~scatter ~exchange render =
                         ("scatter", scatter budget q)
                     | _ ->
                         Metrics.incr m_exchange;
-                        ("exchange", exchange budget q)
+                        ("exchange", exchange t conns budget ~db q (finish budget))
                   in
                   render ~mode ~ns:(Clock.now_ns () - t0) result
                 with
@@ -769,42 +690,23 @@ let guarded t ~db ~engine ~query ~scatter ~exchange render =
               end))
 
 let guarded_eval t conns ~db ~engine ~query render =
-  guarded t ~db ~engine ~query
+  guarded t conns ~db ~engine ~query
     ~scatter:(fun budget q -> scatter_eval t conns budget ~db ~query q)
-    ~exchange:(fun budget q -> exchange_eval t conns budget ~db q)
+    ~finish:(fun budget plan db q -> Plan.evaluate ?budget plan db q)
     render
 
 let render_eval t ~mode ~ns result =
-  let rows = Relation.cardinality result in
-  let lines = Plan.sorted_tuples result in
-  let payload, truncated = truncate_rows t lines rows in
-  Protocol.Ok_
-    {
-      summary =
-        Printf.sprintf "engine=cluster mode=%s shards=%d rows=%d ns=%d%s" mode
-          (shards t) rows ns
-          (if truncated then " truncated=true" else "");
-      payload;
-    }
+  Answer.rows t.config.limits
+    ~prefix:(Printf.sprintf "engine=cluster mode=%s shards=%d" mode (shards t))
+    ~rows:(Relation.cardinality result) ~ns (Plan.sorted_tuples result)
 
 (* GATHER at the coordinator answers fact lines exactly like a shard
    would, so coordinators can themselves be gathered from (tiered
    topologies). *)
 let render_gather t ~mode:_ ~ns result =
-  let rows = Relation.cardinality result in
-  let name = Relation.name result in
-  let lines =
-    List.map (fact_line name)
-      (List.sort Tuple.compare (Relation.tuples result))
-  in
-  let payload, truncated = truncate_rows t lines rows in
-  Protocol.Ok_
-    {
-      summary =
-        Printf.sprintf "gathered %s cache=miss rows=%d ns=%d%s" name rows ns
-          (if truncated then " truncated=true" else "");
-      payload;
-    }
+  Answer.rows t.config.limits
+    ~prefix:(Printf.sprintf "gathered %s cache=miss" (Relation.name result))
+    ~rows:(Relation.cardinality result) ~ns (Answer.fact_lines result)
 
 (* Admission control: the inflight count is tracked (and its
    high-watermark published) unconditionally; the limit only rejects
@@ -853,57 +755,23 @@ let do_count t conns ~db ~engine ~query =
             "COUNT: engine fpt cannot count (use auto, naive, yannakakis, or \
              compiled)"
       | _ ->
-          guarded t ~db ~engine ~query
+          guarded t conns ~db ~engine ~query
             ~scatter:(fun budget _q -> scatter_count t conns budget ~db ~query)
-            ~exchange:(fun budget q -> exchange_count t conns budget ~db q)
+            ~finish:(fun budget plan db q -> Plan.count ?budget plan db q)
             (render_count t))
 
 (* CHECK and EXPLAIN are static analysis; the coordinator answers them
-   locally (same code path as a single node, including the planner's
-   shard-key line in EXPLAIN). *)
+   locally with the single node's reply builders (including the
+   planner's shard-key line in EXPLAIN). *)
 let do_check query =
   match Source.parse_query query with
   | Error e -> Protocol.Err e
-  | Ok q ->
-      let plan = Plan.analyze Plan.Auto q in
-      let pplan = plan.Plan.pplan in
-      Protocol.Ok_
-        {
-          summary = Printf.sprintf "checked size=%d" (Cq.size q);
-          payload =
-            [
-              Printf.sprintf "query: %s" (Cq.to_string q);
-              Printf.sprintf "size %d vars %d" (Cq.size q) (Cq.num_vars q);
-              Printf.sprintf "acyclic: %b" plan.Plan.acyclic;
-              Printf.sprintf "class: %s"
-                (Planner.classification_name pplan.Planner.classification);
-              Printf.sprintf "width: %d" pplan.Planner.width;
-              Printf.sprintf "join_tree: %s"
-                (match plan.Plan.tree with
-                | Some tr ->
-                    Printf.sprintf "%d nodes"
-                      (Paradb_hypergraph.Join_tree.n_nodes tr)
-                | None -> "none");
-              Printf.sprintf "neq_partition_k: %d" plan.Plan.neq_k;
-              Printf.sprintf "recommended_engine: %s"
-                (Plan.engine_name plan.Plan.engine);
-            ];
-        }
+  | Ok q -> Answer.check q
 
 let do_explain query =
   match Source.parse_query query with
   | Error e -> Protocol.Err e
-  | Ok q ->
-      let pplan = Planner.plan q in
-      Protocol.Ok_
-        {
-          summary =
-            Printf.sprintf "plan class=%s width=%d steps=%d"
-              (Planner.classification_name pplan.Planner.classification)
-              pplan.Planner.width
-              (List.length pplan.Planner.steps);
-          payload = Planner.explain pplan;
-        }
+  | Ok q -> Answer.explain q
 
 (* --- replica digests and repair --------------------------------- *)
 

@@ -42,10 +42,13 @@
     [COUNT] follows the same strategy choice: under scatter each shard
     answers its own [COUNT] and the coordinator sums the partial counts
     (co-partitioning puts every satisfying valuation on exactly one
-    shard); under exchange the round-1 reducers are gathered as for
-    [EVAL] — semijoin reduction is count-preserving — and the exact
-    count is computed locally.  The payload is the same single
-    bare-count line a single node answers.
+    shard); under exchange it takes the one exchange path [EVAL] takes
+    — semijoin reduction is count-preserving — and only the local
+    finisher differs: an exact count instead of an evaluation.  The
+    payload is the same single bare-count line a single node answers.
+    Reducers are printed with [Cq.to_string], and every reply a single
+    node also gives (rows, fact lines, CHECK, EXPLAIN) is built by
+    {!Paradb_server.Answer}.
 
     {2 Failure semantics}
 

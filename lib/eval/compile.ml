@@ -11,24 +11,34 @@ open Paradb_query
 
 let m_pipelines = Metrics.counter "compile.pipelines"
 
+type _ sink =
+  | Rows : Relation.t sink
+  | Count : int sink
+
 (* Per-run state: a flat register file (one slot per query variable,
-   holding dictionary codes), the output store, and the strided budget
-   checkpoint.  Allocated fresh by [run], so one compiled [exec] can be
-   executed concurrently from several domains. *)
+   holding dictionary codes), the strided budget checkpoint, and the
+   sink's accumulators — [out]/[seen] for [Rows], [total]/[memo] for
+   [Count]; the other sink's fields stay empty.  Allocated fresh by
+   [run], so one compiled [exec] can be executed concurrently from
+   several domains. *)
 type state = {
   regs : int array;
   mutable ticks : int;
   budget : Budget.t option;
-  out : Row_set.t;
-  dedup : Row_set.t array;
-      (** one distinct-prefix set per dead-variable barrier *)
+  out : Row_set.t;  (** [Rows]: the deduplicated head rows *)
+  seen : Row_set.t array;
+      (** [Rows]: one distinct-prefix set per dead-variable barrier *)
+  mutable total : int;  (** [Count]: valuations counted so far *)
+  memo : int Code_row.Table.t array;
+      (** [Count]: one live-prefix count memo per dead-variable barrier *)
 }
 
 type exec = {
+  counts : bool;  (** lowered for the [Count] sink *)
   name : string;
   head_schema : string list;
   nregs : int;
-  ndedup : int;
+  nbarriers : int;
   pipeline : state -> unit;
 }
 
@@ -99,8 +109,7 @@ let ground_holds c =
   | Term.Const a, Term.Const b -> Constr.eval_op c.Constr.op a b
   | _ -> invalid_arg "Compile: ground constraint with a variable"
 
-(* One fused register-level check per constraint.  Shared by the Bool
-   and counting pipelines. *)
+(* One fused register-level check per constraint. *)
 let compile_constraint reg_of c =
   let operand = function
     | Term.Var x -> `Reg (reg_of x)
@@ -128,7 +137,7 @@ let compile_constraint reg_of c =
    reduction for acyclic plans).  Count-preserving: materialization's
    projection to first-occurrence variable positions is injective on the
    rows matching the selection pattern, and semijoins only drop rows that
-   join with nothing.  Shared by the Bool and counting pipelines. *)
+   join with nothing. *)
 let reduced_mats ?budget plan db atoms =
   let mats =
     Array.mapi
@@ -142,7 +151,24 @@ let reduced_mats ?budget plan db atoms =
     plan.Planner.reduce;
   mats
 
-let compile ?budget plan db =
+let is_count : type r. r sink -> bool = function Rows -> false | Count -> true
+
+(* The one lowering.  The sink is fixed here, so every [match sink]
+   below runs once per plan step at compile time and leaves a closure
+   specialized to one sink: no per-tuple test of which sink is in use.
+
+   - [Rows] (the Bool semiring) emits the head row into a dedup set, and
+     at a dead-variable barrier drops a live prefix it has already seen.
+   - [Count] (the Nat semiring) adds one per satisfying valuation, and
+     at a barrier memoizes: past a barrier the downstream count is a
+     function of the live registers alone (later steps read only
+     already-bound key registers or registers they bind themselves, and
+     the emit reads none), so each distinct live prefix runs the subtree
+     once and replays its count from the memo thereafter.  Counting must
+     NOT dedup — dedup is Bool's ⊕, and collapsing multiplicities is
+     precisely the bug the counting oracle exists to catch. *)
+let compile : type r. ?budget:Budget.t -> r sink -> Planner.t -> Database.t -> exec =
+ fun ?budget sink plan db ->
   Budget.poll budget;
   let q = plan.Planner.query in
   let vars = Cq.vars q in
@@ -153,23 +179,30 @@ let compile ?budget plan db =
     Hashtbl.find tbl
   in
   let head_schema = List.mapi (fun i _ -> Printf.sprintf "a%d" i) q.Cq.head in
-  let hspec =
-    Array.of_list
-      (List.map
-         (function
-           | Term.Var x -> `Reg (reg_of x)
-           | Term.Const v -> `Const (Dictionary.intern Dictionary.global v))
-         q.Cq.head)
-  in
-  let emit st =
-    tick st;
-    let row =
-      Array.map (function `Reg r -> st.regs.(r) | `Const c -> c) hspec
-    in
-    Row_set.add st.out row
+  let emit : state -> unit =
+    match sink with
+    | Rows ->
+        let hspec =
+          Array.of_list
+            (List.map
+               (function
+                 | Term.Var x -> `Reg (reg_of x)
+                 | Term.Const v -> `Const (Dictionary.intern Dictionary.global v))
+               q.Cq.head)
+        in
+        fun st ->
+          tick st;
+          let row =
+            Array.map (function `Reg r -> st.regs.(r) | `Const c -> c) hspec
+          in
+          Row_set.add st.out row
+    | Count ->
+        fun st ->
+          tick st;
+          st.total <- st.total + 1
   in
   let ground_ok = List.for_all ground_holds plan.Planner.ground in
-  let ndedup, pipeline =
+  let nbarriers, pipeline =
     if not ground_ok then (0, fun _ -> ())
     else if q.Cq.body = [] then (0, emit)
     else begin
@@ -193,37 +226,50 @@ let compile ?budget plan db =
         | None -> next
         | Some check -> fun st -> if check st.regs then next st
       in
-      (* Dead-variable barriers (planned by {!Planner.barrier_spec}): a
-         distinct-prefix set on the live registers prunes duplicate
-         continuation subtrees, which turns e.g. long-chain walk
-         enumeration from exponential in the chain length into
-         output-bounded work. *)
-      let ndedup = ref 0 in
-      let dedup_spec =
+      (* Dead-variable barriers (planned by {!Planner.barrier_spec}): the
+         sink's per-live-prefix table — a distinct-prefix set for [Rows],
+         a count memo for [Count] — prunes duplicate continuation
+         subtrees, which turns e.g. long-chain walk enumeration from
+         exponential in the chain length into output-bounded work. *)
+      let nbarriers = ref 0 in
+      let barrier_spec =
         Array.map
           (function
             | None -> None
             | Some live ->
-                let k = !ndedup in
-                incr ndedup;
+                let k = !nbarriers in
+                incr nbarriers;
                 Some (k, Array.of_list (List.map reg_of live)))
           plan.Planner.barriers
       in
-      let with_dedup i next =
-        match dedup_spec.(i) with
+      let with_barrier i next =
+        match barrier_spec.(i) with
         | None -> next
-        | Some (k, proj) ->
-            fun st ->
-              let seen = st.dedup.(k) in
-              let before = Row_set.cardinal seen in
-              Row_set.add seen (Code_row.sub st.regs proj);
-              if Row_set.cardinal seen > before then next st
+        | Some (k, proj) -> (
+            match sink with
+            | Rows ->
+                fun st ->
+                  let seen = st.seen.(k) in
+                  let before = Row_set.cardinal seen in
+                  Row_set.add seen (Code_row.sub st.regs proj);
+                  if Row_set.cardinal seen > before then next st
+            | Count ->
+                fun st ->
+                  let key = Code_row.sub st.regs proj in
+                  match Code_row.Table.find_opt st.memo.(k) key with
+                  | Some c -> st.total <- st.total + c
+                  | None ->
+                      let saved = st.total in
+                      st.total <- 0;
+                      next st;
+                      Code_row.Table.replace st.memo.(k) key st.total;
+                      st.total <- saved + st.total)
       in
       let rec build steps i =
         match steps with
         | [] -> emit
         | step :: rest -> (
-            let next = with_filters i (with_dedup i (build rest (i + 1))) in
+            let next = with_filters i (with_barrier i (build rest (i + 1))) in
             match step with
             | Planner.Scan { atom } ->
                 let rel = mats.(atom) in
@@ -249,7 +295,8 @@ let compile ?budget plan db =
                 let bind_dst = Array.of_list (List.map reg_of bind) in
                 (* Mutation hook: bind the first output column from the
                    probe key's first column instead of its own — a
-                   single-point bug the differential oracle must catch. *)
+                   single-point bug the differential oracle must catch,
+                   in either sink. *)
                 if
                   Mutate.enabled "probe_key_swap"
                   && Array.length bind_src > 0
@@ -273,200 +320,50 @@ let compile ?budget plan db =
                   if Relation.probe_mem rel idx st.regs key_regs then next st)
       in
       let pipeline = build plan.Planner.steps 0 in
-      (!ndedup, pipeline)
+      (!nbarriers, pipeline)
     end
   in
   Metrics.incr m_pipelines;
-  { name = q.Cq.name; head_schema; nregs; ndedup; pipeline }
+  {
+    counts = is_count sink;
+    name = q.Cq.name;
+    head_schema;
+    nregs;
+    nbarriers;
+    pipeline;
+  }
 
-let run ?budget exec =
+let run : type r. ?budget:Budget.t -> r sink -> exec -> r =
+ fun ?budget sink exec ->
+  if is_count sink <> exec.counts then
+    invalid_arg "Compile.run: pipeline was lowered for the other sink";
   Budget.poll budget;
   let st =
     {
       regs = Array.make (max exec.nregs 1) (-1);
       ticks = 0;
       budget;
-      out = Row_set.create 64;
-      dedup = Array.init exec.ndedup (fun _ -> Row_set.create 64);
+      out =
+        (match sink with
+        | Rows -> Row_set.create 64
+        | Count -> Row_set.of_unique_array [||] 0);
+      seen =
+        (match sink with
+        | Rows -> Array.init exec.nbarriers (fun _ -> Row_set.create 64)
+        | Count -> [||]);
+      total = 0;
+      memo =
+        (match sink with
+        | Rows -> [||]
+        | Count -> Array.init exec.nbarriers (fun _ -> Code_row.Table.create 64));
     }
   in
   exec.pipeline st;
-  Relation.of_codes ~name:exec.name ~schema:exec.head_schema
-    (List.to_seq (Row_set.fold List.cons st.out []))
+  match sink with
+  | Rows ->
+      Relation.of_codes ~name:exec.name ~schema:exec.head_schema
+        (List.to_seq (Row_set.fold List.cons st.out []))
+  | Count -> st.total
 
-let evaluate ?budget db q = run ?budget (compile ?budget (Planner.plan q) db)
-
-(* {2 Counting pipeline}
-
-   Same plan, same materialization, same probe order — but the sink
-   counts satisfying valuations of the body variables (Nat-semiring
-   semantics) instead of collecting deduplicated head rows.  The two
-   sinks are kept as separate pipelines on purpose: the Bool path above
-   is the trusted fast path and must stay bit-identical, and a counting
-   run must NOT dedup — dedup is the Bool semiring's ⊕, and collapsing
-   multiplicities is precisely the bug the counting oracle exists to
-   catch.
-
-   Where the Bool pipeline dedups at a dead-variable barrier, the
-   counting pipeline memoizes: past a barrier the downstream count is a
-   function of the live registers alone (later steps read only
-   already-bound key registers or registers they bind themselves, and
-   the emit reads none), so each distinct live prefix runs the subtree
-   once and replays its count from the memo thereafter.  That keeps
-   counting within the same complexity envelope as the deduplicated
-   enumeration instead of paying the full (possibly exponential)
-   valuation tree. *)
-
-type count_state = {
-  cregs : int array;
-  mutable cticks : int;
-  cbudget : Budget.t option;
-  mutable acc : int;
-  memo : int Code_row.Table.t array;
-      (** one live-prefix memo per dead-variable barrier *)
-}
-
-type count_exec = {
-  cname : string;
-  cnregs : int;
-  nmemo : int;
-  cpipeline : count_state -> unit;
-}
-
-let m_count_pipelines = Metrics.counter "compile.count_pipelines"
-
-let ctick st =
-  st.cticks <- st.cticks + 1;
-  if st.cticks land (budget_stride - 1) = 0 then Budget.poll st.cbudget
-
-let compile_count ?budget plan db =
-  Budget.poll budget;
-  let q = plan.Planner.query in
-  let vars = Cq.vars q in
-  let cnregs = List.length vars in
-  let reg_of =
-    let tbl = Hashtbl.create 8 in
-    List.iteri (fun i x -> Hashtbl.add tbl x i) vars;
-    Hashtbl.find tbl
-  in
-  let emit st =
-    ctick st;
-    st.acc <- st.acc + 1
-  in
-  let ground_ok = List.for_all ground_holds plan.Planner.ground in
-  let nmemo, cpipeline =
-    if not ground_ok then (0, fun _ -> ())
-    else if q.Cq.body = [] then (0, emit)
-    else begin
-      let atoms = Array.of_list q.Cq.body in
-      let mats = reduced_mats ?budget plan db atoms in
-      let filters_at i =
-        match
-          List.filter_map
-            (fun (j, c) -> if j = i then Some (compile_constraint reg_of c) else None)
-            plan.Planner.filters
-        with
-        | [] -> None
-        | checks ->
-            let checks = Array.of_list checks in
-            Some (fun regs -> Array.for_all (fun f -> f regs) checks)
-      in
-      let with_filters i next =
-        match filters_at i with
-        | None -> next
-        | Some check -> fun st -> if check st.cregs then next st
-      in
-      let nmemo = ref 0 in
-      let memo_spec =
-        Array.map
-          (function
-            | None -> None
-            | Some live ->
-                let k = !nmemo in
-                incr nmemo;
-                Some (k, Array.of_list (List.map reg_of live)))
-          plan.Planner.barriers
-      in
-      let with_memo i next =
-        match memo_spec.(i) with
-        | None -> next
-        | Some (k, proj) ->
-            fun st ->
-              let key = Code_row.sub st.cregs proj in
-              (match Code_row.Table.find_opt st.memo.(k) key with
-              | Some c -> st.acc <- st.acc + c
-              | None ->
-                  let saved = st.acc in
-                  st.acc <- 0;
-                  next st;
-                  Code_row.Table.replace st.memo.(k) key st.acc;
-                  st.acc <- saved + st.acc)
-      in
-      let rec build steps i =
-        match steps with
-        | [] -> emit
-        | step :: rest -> (
-            let next = with_filters i (with_memo i (build rest (i + 1))) in
-            match step with
-            | Planner.Scan { atom } ->
-                let rel = mats.(atom) in
-                let dst =
-                  Array.of_list (List.map reg_of plan.Planner.scans.(atom).vars)
-                in
-                let n = Array.length dst in
-                fun st ->
-                  Relation.iter_codes
-                    (fun row ->
-                      ctick st;
-                      for k = 0 to n - 1 do
-                        st.cregs.(dst.(k)) <- row.(k)
-                      done;
-                      next st)
-                    rel
-            | Planner.Probe { atom; key; bind } ->
-                let rel = mats.(atom) in
-                let key_pos = Relation.positions rel key in
-                let key_regs = Array.of_list (List.map reg_of key) in
-                let idx = Relation.hash_index rel key_pos in
-                let bind_src = Relation.positions rel bind in
-                let bind_dst = Array.of_list (List.map reg_of bind) in
-                let n = Array.length bind_dst in
-                fun st ->
-                  Relation.probe_iter rel idx st.cregs key_regs (fun row ->
-                      ctick st;
-                      for k = 0 to n - 1 do
-                        st.cregs.(bind_dst.(k)) <- row.(bind_src.(k))
-                      done;
-                      next st)
-            | Planner.Exists { atom; key } ->
-                let rel = mats.(atom) in
-                let key_pos = Relation.positions rel key in
-                let key_regs = Array.of_list (List.map reg_of key) in
-                let idx = Relation.hash_index rel key_pos in
-                fun st ->
-                  ctick st;
-                  if Relation.probe_mem rel idx st.cregs key_regs then next st)
-      in
-      let cpipeline = build plan.Planner.steps 0 in
-      (!nmemo, cpipeline)
-    end
-  in
-  Metrics.incr m_count_pipelines;
-  { cname = q.Cq.name; cnregs; nmemo; cpipeline }
-
-let run_count ?budget cexec =
-  Budget.poll budget;
-  let st =
-    {
-      cregs = Array.make (max cexec.cnregs 1) (-1);
-      cticks = 0;
-      cbudget = budget;
-      acc = 0;
-      memo = Array.init cexec.nmemo (fun _ -> Code_row.Table.create 64);
-    }
-  in
-  cexec.cpipeline st;
-  st.acc
-
-let count ?budget db q =
-  run_count ?budget (compile_count ?budget (Planner.plan q) db)
+let evaluate ?budget db q = run ?budget Rows (compile ?budget Rows (Planner.plan q) db)
+let count ?budget db q = run ?budget Count (compile ?budget Count (Planner.plan q) db)

@@ -403,7 +403,7 @@ let explain p =
           (String.concat ", "
              (List.map
                 (fun (pos, v) ->
-                  Format.asprintf "arg%d = %a" pos Paradb_relational.Value.pp v)
+                  Printf.sprintf "arg%d = %s" pos (Term.value_to_syntax v))
                 s.selections
              @ List.map
                  (fun (a, b) -> Printf.sprintf "arg%d = arg%d" a b)

@@ -36,8 +36,27 @@ let apply binding = function
   | Var x as t -> ( match binding x with Some v -> Const v | None -> t)
   | Const _ as t -> t
 
+(* Constants print in the syntax the parser reads back: integers bare,
+   strings bare only when they lex as a lowercase identifier that is not
+   a keyword, quoted otherwise — so ["42"] never re-reads as [42], nor
+   ["V1"] as a variable.  The lexer has no escapes: a string holding a
+   double quote has no source form. *)
+let lexes_as_lident s =
+  s <> ""
+  && (match s.[0] with 'a' .. 'z' -> true | _ -> false)
+  && String.for_all
+       (function
+         | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' | '\'' -> true
+         | _ -> false)
+       s
+  && not (List.mem s [ "exists"; "forall"; "true"; "false" ])
+
+let value_to_syntax = function
+  | Value.Int i -> string_of_int i
+  | Value.Str s -> if lexes_as_lident s then s else "\"" ^ s ^ "\""
+
 let pp ppf = function
   | Var x -> Format.pp_print_string ppf x
-  | Const v -> Value.pp ppf v
+  | Const v -> Format.pp_print_string ppf (value_to_syntax v)
 
 let to_string t = Format.asprintf "%a" pp t

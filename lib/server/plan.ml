@@ -29,7 +29,6 @@ type t = {
   tree : Join_tree.t option;
   pplan : Planner.t;
   exec : Compile.exec option;
-  count_exec : Compile.count_exec option;
   generation : int;
 }
 
@@ -111,32 +110,34 @@ let analyze requested q =
     tree = pplan.Planner.tree;
     pplan;
     exec = None;
-    count_exec = None;
     generation = -1;
   }
 
-(* [prepare plan db ~generation] binds an [E_compiled] plan to a snapshot
-   by compiling the pipeline now (other engines pass through).  The
-   server calls this inside the cache-build closure, so a warm hit skips
-   planning and compilation entirely. *)
-let prepare ?budget plan db ~generation =
+(* [prepare_sink sink plan db ~generation] binds an [E_compiled] plan
+   to a snapshot by compiling the pipeline for [sink] now (other engines
+   pass through).  The server calls this inside the cache-build closure,
+   so a warm hit skips planning and compilation entirely. *)
+let prepare_sink ?budget sink plan db ~generation =
   match plan.engine with
   | E_compiled ->
       let t0 = Clock.now_ns () in
-      let exec = Compile.compile ?budget plan.pplan db in
+      let exec = Compile.compile ?budget sink plan.pplan db in
       Metrics.observe m_compile_ns (Clock.now_ns () - t0);
       { plan with exec = Some exec; generation }
   | _ -> plan
 
-(* [prepare_count] is [prepare] for the counting pipeline. *)
+let prepare ?budget plan db ~generation =
+  prepare_sink ?budget Compile.Rows plan db ~generation
+
 let prepare_count ?budget plan db ~generation =
-  match plan.engine with
-  | E_compiled ->
-      let t0 = Clock.now_ns () in
-      let count_exec = Compile.compile_count ?budget plan.pplan db in
-      Metrics.observe m_compile_ns (Clock.now_ns () - t0);
-      { plan with count_exec = Some count_exec; generation }
-  | _ -> plan
+  prepare_sink ?budget Compile.Count plan db ~generation
+
+(* Run the prepared pipeline; an unprepared plan (one-shot CLI, tests,
+   the coordinator's exchange) compiles on the fly against [db]. *)
+let run_compiled ?budget sink plan db =
+  match plan.exec with
+  | Some exec -> Compile.run ?budget sink exec
+  | None -> Compile.run ?budget sink (Compile.compile ?budget sink plan.pplan db)
 
 let evaluate ?budget ?family plan db q =
   match plan.engine with
@@ -144,23 +145,13 @@ let evaluate ?budget ?family plan db q =
   | E_yannakakis -> Paradb_yannakakis.Yannakakis.evaluate ?budget db q
   | E_comparisons -> Paradb_core.Comparisons.evaluate ?budget db q
   | E_fpt -> Engine.evaluate ?budget ?family db q
-  | E_compiled -> (
-      match plan.exec with
-      | Some exec -> Compile.run ?budget exec
-      | None ->
-          (* Unprepared plan (one-shot CLI, tests): compile on the fly
-             against the database at hand. *)
-          Compile.run ?budget (Compile.compile ?budget plan.pplan db))
+  | E_compiled -> run_compiled ?budget Compile.Rows plan db
 
 let count ?budget plan db q =
   match plan.engine with
   | E_naive -> Paradb_eval.Cq_naive.count ?budget db q
   | E_yannakakis -> Paradb_yannakakis.Yannakakis.count ?budget db q
-  | E_compiled -> (
-      match plan.count_exec with
-      | Some cexec -> Compile.run_count ?budget cexec
-      | None ->
-          Compile.run_count ?budget (Compile.compile_count ?budget plan.pplan db))
+  | E_compiled -> run_compiled ?budget Compile.Count plan db
   | E_fpt | E_comparisons ->
       invalid_arg
         (Printf.sprintf

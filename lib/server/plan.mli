@@ -29,9 +29,9 @@ type t = {
   tree : Paradb_hypergraph.Join_tree.t option;
   pplan : Paradb_planner.Planner.t;  (** physical plan and classification *)
   exec : Paradb_eval.Compile.exec option;
-      (** compiled pipeline; [Some] only after {!prepare} *)
-  count_exec : Paradb_eval.Compile.count_exec option;
-      (** compiled counting pipeline; [Some] only after {!prepare_count} *)
+      (** the compiled pipeline, lowered for the sink of the verb that
+          prepared it ({!prepare}: rows, {!prepare_count}: count);
+          [None] until prepared *)
   generation : int;
       (** catalog generation [exec] was compiled against; [-1] when
           unprepared *)
@@ -66,15 +66,16 @@ val scoped_count_key :
 val analyze : engine_kind -> Cq.t -> t
 
 (** [prepare plan db ~generation] compiles an [E_compiled] plan against
-    the snapshot [db], recording the compile time in the
-    [planner.compile_ns] histogram; other engines pass through
+    the snapshot [db] for the rows sink, recording the compile time in
+    the [planner.compile_ns] histogram; other engines pass through
     unchanged.  Raises [Not_found] if [db] lacks a relation the query
     names, and {!Paradb_telemetry.Budget.Exhausted} if [budget] expires
     mid-compile. *)
 val prepare :
   ?budget:Paradb_telemetry.Budget.t -> t -> Database.t -> generation:int -> t
 
-(** [prepare_count] — {!prepare} for the counting pipeline. *)
+(** [prepare_count] — {!prepare} for the count sink: the same lowering,
+    ending in a counting emit. *)
 val prepare_count :
   ?budget:Paradb_telemetry.Budget.t -> t -> Database.t -> generation:int -> t
 
@@ -82,7 +83,8 @@ val prepare_count :
     alpha-equivalent to [plan.query]; the fresh parse is used directly so
     head attribute names are preserved.  [E_compiled] plans run their
     prepared pipeline (compiling on the fly against [db] when
-    unprepared).  [family], when given, overrides the deterministic sweep
+    unprepared); a plan {!prepare_count}ed for COUNT raises
+    [Invalid_argument].  [family], when given, overrides the deterministic sweep
     family of the fpt engine.  [budget] is threaded into whichever engine
     runs; expiry raises {!Paradb_telemetry.Budget.Exhausted}.  Raises the
     engines' exceptions ([Cyclic_query], [Invalid_argument]) unchanged. *)
@@ -92,8 +94,8 @@ val evaluate :
 
 (** [count plan db q] — the exact answer count (number of satisfying
     valuations of the body variables, Nat-semiring semantics).
-    [E_compiled] plans run their prepared counting pipeline (compiling
-    on the fly when unprepared); [E_naive] and [E_yannakakis] dispatch
+    [E_compiled] plans run their pipeline as {!evaluate} does, which
+    must be unprepared or {!prepare_count}ed; [E_naive] and [E_yannakakis] dispatch
     to their interpreters' counting entry points.  Raises
     [Invalid_argument] for [E_fpt]/[E_comparisons] — the fpt engine's
     randomized trials only witness satisfiability and cannot produce

@@ -1,10 +1,6 @@
-module Cq = Paradb_query.Cq
 module Source = Paradb_query.Source
 module Database = Paradb_relational.Database
 module Relation = Paradb_relational.Relation
-module Hypergraph = Paradb_hypergraph.Hypergraph
-module Join_tree = Paradb_hypergraph.Join_tree
-module Planner = Paradb_planner.Planner
 module Metrics = Paradb_telemetry.Metrics
 module Trace = Paradb_telemetry.Trace
 module Export = Paradb_telemetry.Export
@@ -103,10 +99,12 @@ let do_fact s ~db ~fact =
   | Ok database ->
       ok (Printf.sprintf "%s tuples=%d" db (Database.size database))
 
-(* Shared EVAL/GATHER core: resolve the snapshot, arm the budget, hit
-   the plan cache, evaluate, record stats.  Only the payload rendering
-   differs between the two verbs. *)
-let run_eval s ~db ~kind q =
+(* The one run path for EVAL, GATHER and COUNT: resolve the snapshot,
+   arm the budget, hit the plan cache, execute, record stats.  A verb is
+   its cache keyspace ([key]), how a miss prepares the plan ([prepare]:
+   which sink the pipeline is lowered for) and how a plan runs
+   ([execute]). *)
+let run s ~db ~kind ~key ~prepare ~execute q =
   match Catalog.find s.shared.catalog db with
   | None -> Error (Printf.sprintf "no database %s (use LOAD or FACT)" db)
   | Some (database, generation) -> (
@@ -114,7 +112,7 @@ let run_eval s ~db ~kind q =
          the snapshot makes every older entry unreachable, so a
          compiled pipeline is never reused against data it was
          not compiled for. *)
-      let key = Plan.scoped_key ~db ~generation kind q in
+      let key = key ~db ~generation kind q in
       let budget =
         Option.map
           (fun deadline_ns -> Budget.start ~deadline_ns)
@@ -123,14 +121,12 @@ let run_eval s ~db ~kind q =
       let t0 = now_ns () in
       match
         (* The budget covers the whole request: planning and
-           pipeline compilation on a miss, then evaluation. *)
+           pipeline compilation on a miss, then execution. *)
         let plan, outcome =
           Plan_cache.find_or_build s.shared.cache ~key (fun () ->
-              Plan.prepare ?budget (Plan.analyze kind q) database ~generation)
+              prepare ?budget (Plan.analyze kind q) database ~generation)
         in
-        ( plan,
-          outcome,
-          Plan.evaluate ?budget ?family:s.shared.family plan database q )
+        (plan, outcome, execute ?budget plan database q)
       with
       | exception
           ( Paradb_yannakakis.Yannakakis.Cyclic_query
@@ -155,96 +151,51 @@ let run_eval s ~db ~kind q =
             ~engine:(Plan.engine_name plan.Plan.engine) ~hit ~ns;
           Ok (plan, hit, result, ns))
 
-(* COUNT twin of [run_eval]: same catalog/budget/cache/stats discipline,
-   but builds and runs the counting pipeline, cached under the COUNT
-   keyspace ([Plan.scoped_count_key]). *)
-let run_count s ~db ~kind q =
-  match Catalog.find s.shared.catalog db with
-  | None -> Error (Printf.sprintf "no database %s (use LOAD or FACT)" db)
-  | Some (database, generation) -> (
-      let key = Plan.scoped_count_key ~db ~generation kind q in
-      let budget =
-        Option.map
-          (fun deadline_ns -> Budget.start ~deadline_ns)
-          s.shared.limits.Guard.deadline_ns
-      in
-      let t0 = now_ns () in
-      match
-        let plan, outcome =
-          Plan_cache.find_or_build s.shared.cache ~key (fun () ->
-              Plan.prepare_count ?budget (Plan.analyze kind q) database
-                ~generation)
-        in
-        (plan, outcome, Plan.count ?budget plan database q)
-      with
-      | exception
-          ( Paradb_yannakakis.Yannakakis.Cyclic_query
-          | Paradb_core.Engine.Cyclic_query ) ->
-          Error "the query hypergraph is cyclic; use engine naive"
-      | exception Invalid_argument msg -> Error msg
-      | exception Not_found ->
-          Error (Printf.sprintf "query names a relation missing from %s" db)
-      | exception Budget.Exhausted { elapsed_ns; _ } ->
-          Metrics.incr m_deadline;
-          Error (Printf.sprintf "deadline-exceeded after %dns" elapsed_ns)
-      | plan, outcome, n ->
-          let ns = now_ns () - t0 in
-          let hit = outcome = `Hit in
-          (if plan.Plan.engine = Plan.E_compiled then begin
-             if hit then Metrics.incr m_compiled_hits
-           end
-           else Metrics.incr m_interp_fallback);
-          Stats.record s.shared.stats
-            ~engine:(Plan.engine_name plan.Plan.engine) ~hit ~ns;
-          Stats.record s.stats
-            ~engine:(Plan.engine_name plan.Plan.engine) ~hit ~ns;
-          Ok (plan, hit, n, ns))
+let run_eval s ~db ~kind q =
+  run s ~db ~kind ~key:Plan.scoped_key ~prepare:Plan.prepare
+    ~execute:(Plan.evaluate ?family:s.shared.family) q
 
-let truncate_rows s lines rows =
-  match s.shared.limits.Guard.max_rows with
-  | Some m when rows > m -> (List.filteri (fun i _ -> i < m) lines, true)
-  | _ -> (lines, false)
+let cache_word hit = if hit then "hit" else "miss"
 
-let do_eval s ~db ~engine ~query =
+(* Validate the engine token and parse the query; ERR on either. *)
+let with_query s ~engine query k =
   match Plan.engine_kind_of_string engine with
   | None -> err s (Printf.sprintf "unknown engine %s" engine)
   | Some kind -> (
       match Source.parse_query query with
       | Error e -> err s e
-      | Ok q -> (
-          match run_eval s ~db ~kind q with
-          | Error e -> err s e
-          | Ok (plan, hit, result, ns) ->
-              let rows = Relation.cardinality result in
-              let lines = Plan.sorted_tuples result in
-              let payload, truncated = truncate_rows s lines rows in
-              ok ~payload
-                (Printf.sprintf "engine=%s cache=%s rows=%d ns=%d%s"
-                   (Plan.engine_name plan.Plan.engine)
-                   (if hit then "hit" else "miss")
-                   rows ns
-                   (if truncated then " truncated=true" else ""))))
+      | Ok q -> k kind q)
+
+let do_eval s ~db ~engine ~query =
+  with_query s ~engine query @@ fun kind q ->
+  match run_eval s ~db ~kind q with
+  | Error e -> err s e
+  | Ok (plan, hit, result, ns) ->
+      Answer.rows s.shared.limits
+        ~prefix:
+          (Printf.sprintf "engine=%s cache=%s"
+             (Plan.engine_name plan.Plan.engine)
+             (cache_word hit))
+        ~rows:(Relation.cardinality result) ~ns
+        (Plan.sorted_tuples result)
 
 (* COUNT: like EVAL, but the answer is a single number — the summary
    carries [count=<n>] and the payload is one line holding the bare
    count, so both a human and the coordinator's partial-sum gather can
    read it without parsing the summary. *)
 let do_count s ~db ~engine ~query =
-  match Plan.engine_kind_of_string engine with
-  | None -> err s (Printf.sprintf "unknown engine %s" engine)
-  | Some kind -> (
-      match Source.parse_query query with
-      | Error e -> err s e
-      | Ok q -> (
-          match run_count s ~db ~kind q with
-          | Error e -> err s e
-          | Ok (plan, hit, n, ns) ->
-              ok
-                ~payload:[ string_of_int n ]
-                (Printf.sprintf "engine=%s cache=%s count=%d ns=%d"
-                   (Plan.engine_name plan.Plan.engine)
-                   (if hit then "hit" else "miss")
-                   n ns)))
+  with_query s ~engine query @@ fun kind q ->
+  match
+    run s ~db ~kind ~key:Plan.scoped_count_key ~prepare:Plan.prepare_count
+      ~execute:Plan.count q
+  with
+  | Error e -> err s e
+  | Ok (plan, hit, n, ns) ->
+      ok
+        ~payload:[ string_of_int n ]
+        (Printf.sprintf "engine=%s cache=%s count=%d ns=%d"
+           (Plan.engine_name plan.Plan.engine)
+           (cache_word hit) n ns)
 
 (* GATHER: evaluate like EVAL (engine auto) but answer the rows as fact
    lines [head(v1, v2).] — the only line format whose values survive a
@@ -252,32 +203,16 @@ let do_count s ~db ~engine ~query =
    coordinator feeds the payload to.  A truncated reducer would be
    silently wrong at the coordinator, so truncation keeps EVAL's
    explicit [truncated=true] marker for the coordinator to reject. *)
-let fact_line name tuple =
-  Printf.sprintf "%s(%s)." name
-    (String.concat ", "
-       (List.map Paradb_query.Fact_format.value_to_syntax
-          (Paradb_relational.Tuple.to_list tuple)))
-
 let do_gather s ~db ~query =
-  match Source.parse_query query with
+  with_query s ~engine:"auto" query @@ fun kind q ->
+  match run_eval s ~db ~kind q with
   | Error e -> err s e
-  | Ok q -> (
-      match run_eval s ~db ~kind:Plan.Auto q with
-      | Error e -> err s e
-      | Ok (_plan, hit, result, ns) ->
-          let rows = Relation.cardinality result in
-          let name = Relation.name result in
-          let lines =
-            List.map (fact_line name)
-              (List.sort Paradb_relational.Tuple.compare
-                 (Relation.tuples result))
-          in
-          let payload, truncated = truncate_rows s lines rows in
-          ok ~payload
-            (Printf.sprintf "gathered %s cache=%s rows=%d ns=%d%s" name
-               (if hit then "hit" else "miss")
-               rows ns
-               (if truncated then " truncated=true" else "")))
+  | Ok (_plan, hit, result, ns) ->
+      Answer.rows s.shared.limits
+        ~prefix:
+          (Printf.sprintf "gathered %s cache=%s" (Relation.name result)
+             (cache_word hit))
+        ~rows:(Relation.cardinality result) ~ns (Answer.fact_lines result)
 
 let finish_bulk s b =
   match Catalog.bulk_set s.shared.catalog b.bulk_db (Buffer.contents b.buf) with
@@ -323,11 +258,8 @@ let do_digest s db =
                let name = Relation.name r in
                let crc =
                  List.fold_left
-                   (fun c t ->
-                     Paradb_storage.Crc32.feed_string c (fact_line name t ^ "\n"))
-                   Paradb_storage.Crc32.init
-                   (List.sort Paradb_relational.Tuple.compare
-                      (Relation.tuples r))
+                   (fun c l -> Paradb_storage.Crc32.feed_string c (l ^ "\n"))
+                   Paradb_storage.Crc32.init (Answer.fact_lines r)
                  |> Paradb_storage.Crc32.finish
                in
                Printf.sprintf "relation %s %d %d %08x" name (Relation.arity r)
@@ -341,39 +273,12 @@ let do_digest s db =
 let do_check s query =
   match Source.parse_query query with
   | Error e -> err s e
-  | Ok q ->
-      let plan = Plan.analyze Plan.Auto q in
-      let pplan = plan.Plan.pplan in
-      let payload =
-        [
-          Printf.sprintf "query: %s" (Cq.to_string q);
-          Printf.sprintf "size %d vars %d" (Cq.size q) (Cq.num_vars q);
-          Printf.sprintf "acyclic: %b" plan.Plan.acyclic;
-          Printf.sprintf "class: %s"
-            (Planner.classification_name pplan.Planner.classification);
-          Printf.sprintf "width: %d" pplan.Planner.width;
-          Printf.sprintf "join_tree: %s"
-            (match plan.Plan.tree with
-            | Some t -> Printf.sprintf "%d nodes" (Join_tree.n_nodes t)
-            | None -> "none");
-          Printf.sprintf "neq_partition_k: %d" plan.Plan.neq_k;
-          Printf.sprintf "recommended_engine: %s"
-            (Plan.engine_name plan.Plan.engine);
-        ]
-      in
-      ok ~payload (Printf.sprintf "checked size=%d" (Cq.size q))
+  | Ok q -> Answer.check q
 
 let do_explain s query =
   match Source.parse_query query with
   | Error e -> err s e
-  | Ok q ->
-      let pplan = Planner.plan q in
-      ok
-        ~payload:(Planner.explain pplan)
-        (Printf.sprintf "plan class=%s width=%d steps=%d"
-           (Planner.classification_name pplan.Planner.classification)
-           pplan.Planner.width
-           (List.length pplan.Planner.steps))
+  | Ok q -> Answer.explain q
 
 let do_stats s =
   let cache = Plan_cache.counters s.shared.cache in

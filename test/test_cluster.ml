@@ -300,13 +300,32 @@ let eval_on client q =
   | Protocol.Ok_ { payload; _ } -> Ok payload
   | Protocol.Err e -> Error e
 
+(* String constants that print like an integer or a variable: the
+   exchange's reducers are printed with [Cq.to_string], so they must
+   quote them for the shards to parse back the same query. *)
+let string_facts = [ "FACT g f(2, \"V1\")."; "FACT g f(3, \"42\")." ]
+
+let string_queries =
+  [
+    "ans(X, W) :- e(X, Y), f(Y, \"V1\"), f(Y, W), W != \"42\".";
+    "ans(X) :- e(X, Y), f(Y, \"42\").";
+  ]
+
 let test_cluster_matches_single_node () =
   with_servers 1 @@ fun single ->
   Client.with_connection ~timeout:30.0 ~port:(Server.port single.(0))
   @@ fun single_client ->
-  load_facts single_client;
+  let load client =
+    load_facts client;
+    List.iter (fun l -> ignore (Client.request_line client l)) string_facts
+  in
+  load single_client;
   with_cluster ~shards:3 ~replicas:1 @@ fun ~shard_servers:_ ~client ->
-  load_facts client;
+  load client;
+  (* W ranges over f(2, _) minus "42": 10 and the string V1 *)
+  (match eval_on client (List.hd string_queries) with
+  | Ok rows -> Alcotest.(check int) "string-constant exchange" 2 (List.length rows)
+  | Error e -> Alcotest.failf "string-constant exchange: ERR %s" e);
   List.iter
     (fun q ->
       match (eval_on single_client q, eval_on client q) with
@@ -314,7 +333,7 @@ let test_cluster_matches_single_node () =
           Alcotest.(check (list string)) ("payload: " ^ q) expected got
       | Error e, _ -> Alcotest.failf "%s: single-node ERR %s" q e
       | _, Error e -> Alcotest.failf "%s: cluster ERR %s" q e)
-    queries
+    (queries @ string_queries)
 
 let test_cluster_load_file_matches_single_node () =
   let path = Filename.temp_file "paradb_test_cluster" ".facts" in

@@ -250,8 +250,11 @@ let test_mutant_drop_neq () =
 let test_mutant_color_count () =
   check_mutant_caught ~mutant:"color_count" ~engines:[ "fpt"; "fpt-sat" ] ()
 
+(* The compiled pipeline has one lowering for both sinks, so the probe
+   mutant must show through the counting engine on its own too. *)
 let test_mutant_probe_key_swap () =
-  check_mutant_caught ~mutant:"probe_key_swap" ~engines:[ "compiled" ] ()
+  check_mutant_caught ~mutant:"probe_key_swap" ~engines:[ "compiled" ] ();
+  check_mutant_caught ~mutant:"probe_key_swap" ~engines:[ "count-compiled" ] ()
 
 let test_mutant_sum_instead_of_max () =
   check_mutant_caught ~mutant:"sum_instead_of_max"

@@ -138,14 +138,14 @@ let test_budget_cancellation () =
   let b = Budget.start ~deadline_ns:max_int in
   Budget.cancel b;
   (try
-     ignore (Compile.compile ~budget:b p triangle_db);
+     ignore (Compile.compile ~budget:b Compile.Rows p triangle_db);
      Alcotest.fail "compile under a cancelled budget should raise"
    with Budget.Exhausted _ -> ());
   (* compiling without a budget, then running with a cancelled one:
      the pipeline's strided checkpoint must fire *)
-  let exec = Compile.compile p triangle_db in
+  let exec = Compile.compile Compile.Rows p triangle_db in
   (try
-     ignore (Compile.run ~budget:b exec);
+     ignore (Compile.run ~budget:b Compile.Rows exec);
      Alcotest.fail "run under a cancelled budget should raise"
    with Budget.Exhausted _ -> ());
   (* an expired deadline on a large scan trips the strided poll even

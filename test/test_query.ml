@@ -442,8 +442,41 @@ let qcheck_tests =
         let q = Qgen.random_tree_cq rng ~max_atoms:4 ~max_arity:3 ~neq_tries:3 ~domain_size:5 in
         (* our variables are lowercase; uppercase them for the parser *)
         let q = Cq.rename String.capitalize_ascii q in
+        (* string constants that look like other tokens: digits, variables,
+           keywords, spaces — anything but a double quote, which the
+           lexer cannot escape *)
+        let random_str () =
+          match Random.State.int rng 3 with
+          | 0 ->
+              let pool =
+                [| "42"; "-7"; "V1"; "X"; "_y"; "exists"; "forall"; "true";
+                   "false"; "two words"; ""; "alice"; "it's"; "a.b"; "e(1)" |]
+              in
+              pool.(Random.State.int rng (Array.length pool))
+          | _ ->
+              let chars = "aZ09 _.,:-!<=()'%" in
+              String.init (Random.State.int rng 5) (fun _ ->
+                  chars.[Random.State.int rng (String.length chars)])
+        in
+        let term = function
+          | Term.Const _ when Random.State.bool rng -> Term.str (random_str ())
+          | t -> t
+        in
+        let q =
+          Cq.make ~name:q.Cq.name
+            ~head:(List.map term q.Cq.head)
+            ~constraints:
+              (List.map
+                 (fun c ->
+                   Constr.make c.Constr.op (term c.Constr.lhs) (term c.Constr.rhs))
+                 q.Cq.constraints)
+            (Atom.make "s" [ Term.str (random_str ()); Term.str (random_str ()) ]
+            :: List.map
+                 (fun a -> Atom.make a.Atom.rel (List.map term a.Atom.args))
+                 q.Cq.body)
+        in
         let q' = Parser.parse_cq (Cq.to_string q) in
-        Cq.equal q q');
+        Cq.equal q q' && Cq.cache_key q' = Cq.cache_key q);
     (* print∘parse is the identity up to variable renaming, and the
        alpha-normal form is a fixpoint of the parser *)
     Qgen.seeded_property ~name:"parse/print identity up to renaming" ~count:100

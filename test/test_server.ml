@@ -415,6 +415,38 @@ let test_count_verb () =
         (contains e "cannot count")
   | Protocol.Ok_ _ -> Alcotest.fail "COUNT with fpt should ERR"
 
+(* Regression: the plan-cache key prints constants in source syntax, so
+   a string constant never aliases an integer ([Str "42"] vs [42]) or a
+   variable ([Str "V1"] vs the alpha-normalized [V1]).  Each probe runs
+   second on a warm cache holding its look-alike; before the key quoted
+   its strings, each one hit that entry and answered its rows. *)
+let test_constant_key_aliasing () =
+  let shared = Session.make_shared ~cache_capacity:16 () in
+  let session = Session.create shared in
+  let run line = Option.get (fst (Session.handle_line session line)) in
+  let path =
+    write_temp_facts "r(1, 42). r(2, \"42\"). r(3, \"V1\"). r(4, 5).\n"
+  in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  ignore (run (Printf.sprintf "LOAD g %s" path));
+  let eval q = payload_of (run ("EVAL g auto " ^ q)) in
+  let count q =
+    match payload_of (run ("COUNT g auto " ^ q)) with
+    | [ n ] -> int_of_string n
+    | _ -> Alcotest.fail "COUNT: expected one payload line"
+  in
+  Alcotest.(check (list string)) "string 42" [ "(2)" ]
+    (eval "ans(X) :- r(X, \"42\").");
+  Alcotest.(check (list string)) "integer 42 after string 42" [ "(1)" ]
+    (eval "ans(X) :- r(X, 42).");
+  Alcotest.(check (list string)) "string V1" [ "(3)" ]
+    (eval "ans(X) :- r(X, \"V1\").");
+  Alcotest.(check int) "variable after string V1" 4
+    (List.length (eval "ans(X) :- r(X, Y)."));
+  Alcotest.(check int) "COUNT string V1" 1 (count "q() :- r(X, \"V1\").");
+  Alcotest.(check int) "COUNT variable after string V1" 4
+    (count "q() :- r(X, V1).")
+
 (* DIGEST: a deterministic per-relation content fingerprint — identical
    databases agree, any content change disagrees.  REPAIR is the
    coordinator's verb and must refuse cleanly on a plain server. *)
@@ -599,6 +631,8 @@ let () =
             `Quick test_compiled_cache_staleness;
           Alcotest.test_case "explain verb" `Quick test_explain_verb;
           Alcotest.test_case "count verb" `Quick test_count_verb;
+          Alcotest.test_case "string constants never alias in the cache key"
+            `Quick test_constant_key_aliasing;
           Alcotest.test_case "digest verb" `Quick test_digest_verb;
         ] );
       ( "concurrency",
